@@ -10,10 +10,11 @@ scalar by at least the floor committed in ``BENCH_simcore.json``
 checked byte-identical, so a fast-but-wrong engine can never "pass".
 
 Report-only rows cover the other regime — residue-bound workloads
-(migratory sharing, stencil halos) where the adaptive bail-out caps the
-downside near 1x (docs/ENGINE.md discusses the trade-off).  They are
-recorded in the snapshot but carry no assertion: their ratios hover
-around parity and machine noise would make a gate flaky.
+(migratory sharing, stencil halos) where reuse is too low for the batch
+engine to pay, so ``make_simulator`` runs them scalar (docs/ENGINE.md
+discusses the trade-off).  They are recorded in the snapshot but carry
+no assertion: their ratios hover near parity and machine noise would
+make a gate flaky.
 
 Run standalone (``python benchmarks/bench_simcore.py``) to print the
 table and refresh ``BENCH_simcore.json``; the pytest entry enforces the

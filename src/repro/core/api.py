@@ -30,21 +30,16 @@ ALL_PROTOCOLS = (
 
 
 def run_program(
-    cfg: SystemConfig,
-    program: Program,
-    *,
-    validate: bool = True,
-    engine: str | None = None,
+    cfg: SystemConfig, program: Program, *, validate: bool = True
 ) -> RunResult:
     """Simulate ``program`` on ``cfg`` and return the run's results.
 
-    ``engine`` picks the simulation tier (``"scalar"`` or ``"batch"``,
-    byte-identical by the differential suite); ``None`` defers to
-    ``$REPRO_ENGINE`` and then the batch default.
+    :func:`~repro.core.batch.make_simulator` picks the simulation tier;
+    both tiers are byte-identical by the differential suite.
     """
     if validate:
         validate_program(program, cfg.line_size)
-    return make_simulator(cfg, program, engine=engine).run()
+    return make_simulator(cfg, program).run()
 
 
 #: maps (config, program) pairs to their results, order-preserving;

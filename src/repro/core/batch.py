@@ -50,6 +50,10 @@ windows:
 ``tests/test_engine_equiv.py`` + :mod:`repro.verify.diffengine` enforce
 the guarantee across every registered workload and protocol;
 docs/ENGINE.md walks through the argument and the debugging workflow.
+
+The batch tier only pays where lines are reused: :func:`make_simulator`
+builds it when the classification's reuse reaches
+:data:`BATCH_MIN_REUSE`, and the scalar :class:`Simulator` otherwise.
 """
 
 from __future__ import annotations
@@ -65,20 +69,25 @@ from ..protocols.base import S as _S
 from ..trace.events import WRITE
 from .simulator import Simulator
 
-#: env var selecting the engine across process boundaries (harness
-#: workers are forked and rebuild their own simulators — same pattern
-#: as $REPRO_SANITIZE)
+#: env var forcing a tier across process boundaries (harness workers
+#: are forked and rebuild their own simulators — same pattern as
+#: $REPRO_SANITIZE); unset, :func:`make_simulator` picks the tier
 ENGINE_ENV = "REPRO_ENGINE"
 
 ENGINES = ("scalar", "batch")
 
-#: the batch engine is the default: the differential suite pins it
-#: byte-identical to scalar, so there is no accuracy trade-off
-DEFAULT_ENGINE = "batch"
-
 #: classification codes (``codes[i] >= 0`` means private to that thread)
 CONTENDED = -1
 RO_SHARED = -2
+
+#: the batch tier is built when a program's classification reuse
+#: (eligible accesses per distinct eligible line, per thread) reaches
+#: this.  Measured at 8 threads (docs/ENGINE.md): compute-water, where
+#: batch takes 0.2-0.5x scalar's CPU time, sits at 46-276 at every
+#: scale; stencil-ocean reaches 48 from scale 0.4, where batch also
+#: wins; every other workload stays <= 19 up to paper scale and takes
+#: 0.8-1.8x on batch.
+BATCH_MIN_REUSE = 32
 
 #: eligible islands shorter than this, wedged between ineligible
 #: events, are merged into the surrounding scalar stretch — the
@@ -97,19 +106,12 @@ _SMALL_RUN = 64
 #: that dominate in dispatch-bound steady state.
 _MAX_RUN = 32768
 
-#: adaptive bail-out sampling period, in heap pops per core: every
-#: period, a core whose bulk runs covered fewer than 2 events per pop
-#: stops trying the fast path (residue-dominated: cheaper pure-scalar)
-_ADAPT_PERIOD = 512
 
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve the engine choice: explicit argument, then ``$REPRO_ENGINE``,
-    then the default."""
-    value = engine if engine is not None else os.environ.get(ENGINE_ENV)
-    if value is None or not value.strip():
-        return DEFAULT_ENGINE
-    value = value.strip().lower()
+def resolve_engine() -> str:
+    """The tier ``$REPRO_ENGINE`` forces, or ``"auto"`` when unset."""
+    value = os.environ.get(ENGINE_ENV, "").strip().lower()
+    if not value:
+        return "auto"
     if value not in ENGINES:
         raise ConfigError(
             f"unknown engine {value!r}: expected one of {', '.join(ENGINES)}"
@@ -117,26 +119,25 @@ def resolve_engine(engine: str | None = None) -> str:
     return value
 
 
-def make_simulator(
-    cfg,
-    program,
-    recorder=None,
-    *,
-    sanitize: bool | None = None,
-    engine: str | None = None,
-    static_hint=None,
-):
-    """Build the selected engine's simulator for ``program`` on ``cfg``.
+def make_simulator(cfg, program, *, sanitize: bool | None = None):
+    """Build the simulator for ``program`` on ``cfg``, choosing its tier.
 
-    This is the one construction point the library and harness share;
-    both engines produce byte-identical results, so cache keys and
-    golden outputs are engine-independent.
+    The one construction point the library, harness and service share.
+    Both tiers are byte-identical, so the choice only moves wall-clock:
+    the batch tier runs when the program's classification shows enough
+    reuse (:data:`BATCH_MIN_REUSE`) or ``$REPRO_ENGINE=batch`` forces
+    it; the bounded sparse directory always runs scalar, because its
+    recalls can invalidate another core's private lines mid-run.
     """
-    if resolve_engine(engine) == "batch":
+    engine = resolve_engine()
+    if engine == "scalar" or cfg.directory_entries_per_bank is not None:
+        return Simulator(cfg, program, sanitize=sanitize)
+    classification = classify_program(program, cfg.line_size)
+    if engine == "batch" or classification.reuse >= BATCH_MIN_REUSE:
         return BatchSimulator(
-            cfg, program, recorder, sanitize=sanitize, static_hint=static_hint
+            cfg, program, sanitize=sanitize, classification=classification
         )
-    return Simulator(cfg, program, recorder, sanitize=sanitize)
+    return Simulator(cfg, program, sanitize=sanitize)
 
 
 # --------------------------------------------------------------------------
@@ -149,14 +150,26 @@ class LineClassification:
 
     ``lines`` is a sorted ``uint64`` array of every line the program
     accesses; ``codes[i]`` is the owning thread id for private lines,
-    :data:`RO_SHARED` or :data:`CONTENDED`.
+    :data:`RO_SHARED` or :data:`CONTENDED`.  The exact pass
+    (:func:`classify_program`) also records ``written``, the sorted
+    lines the program ever writes, and ``reuse``, the fast-path
+    eligible accesses per distinct eligible line per thread — the
+    figure :func:`make_simulator` picks the tier by.
     """
 
-    __slots__ = ("lines", "codes")
+    __slots__ = ("lines", "codes", "written", "reuse")
 
-    def __init__(self, lines: np.ndarray, codes: np.ndarray):
+    def __init__(
+        self,
+        lines: np.ndarray,
+        codes: np.ndarray,
+        written: np.ndarray | None = None,
+        reuse: float = 0.0,
+    ):
         self.lines = lines
         self.codes = codes
+        self.written = written
+        self.reuse = reuse
 
     def code_of(self, line: int) -> int:
         """Class code of one line (:data:`CONTENDED` if never accessed)."""
@@ -183,64 +196,26 @@ class LineClassification:
         }
 
 
-def classify_program(
-    program,
-    line_size: int,
-    *,
-    static_hint: LineClassification | None = None,
-    validate_hint: bool = True,
-) -> LineClassification:
-    """Classify every line ``program`` touches by its sharing pattern.
-
-    Streams each trace chunk-by-chunk (``ThreadTrace.iter_chunks`` is a
-    single chunk for materialized traces, the decoded ``.rtb`` chunks
-    for streamed ones), keeping only per-thread *unique line* sets in
-    memory — O(working set), never O(events).
-
-    ``static_hint`` substitutes a precomputed classification from the
-    static analyzer (:meth:`repro.statics.StaticReport.line_hint`).
-    Because static classes over-approximate — a statically PRIVATE line
-    is dynamically private-or-untouched, never shared — the hint is safe
-    to drive the fast path, merely pessimistic.  With ``validate_hint``
-    (the default) the exact classification is still computed and the
-    hint checked against the engine-safety contract, raising
-    :class:`~repro.common.errors.StaticSoundnessError` on any line the
-    hint places *below* the exact class; ``validate_hint=False`` skips
-    the streaming pass entirely and trusts the hint.
-    """
-    if static_hint is not None and not validate_hint:
-        return static_hint
-    exact, written = _classify_exact(program, line_size)
-    if static_hint is not None:
-        validate_static_hint(exact, written, static_hint)
-        return static_hint
-    return exact
-
-
 def validate_static_hint(
-    exact: LineClassification,
-    written: np.ndarray,
-    hint: LineClassification,
+    exact: LineClassification, hint: LineClassification
 ) -> None:
-    """Enforce the hint's conservative-superset contract per exact line.
+    """Enforce a static hint's conservative-superset contract against
+    the exact classification, per exact line.
 
     Safe substitutions (hint may move classes *up* the sharing lattice):
     exact CONTENDED requires hint CONTENDED; exact RO_SHARED allows
     RO_SHARED or CONTENDED; exact PRIVATE(t) allows PRIVATE(t),
     CONTENDED, or — only for lines the program never writes —
     RO_SHARED.  Anything else would let the fast path treat a line more
-    optimistically than the trace warrants, so it raises.
+    optimistically than the trace warrants, so it raises
+    :class:`~repro.common.errors.StaticSoundnessError`.
     """
     from ..common.errors import StaticSoundnessError
 
     if len(exact.lines) == 0:
         return
     hint_codes = hint.codes_for(exact.lines)
-    ever_written = (
-        np.isin(exact.lines, written)
-        if len(written)
-        else np.zeros(len(exact.lines), dtype=bool)
-    )
+    ever_written = np.isin(exact.lines, exact.written)
     ok = hint_codes == np.int64(CONTENDED)
     ok |= (exact.codes == np.int64(RO_SHARED)) & (
         hint_codes == np.int64(RO_SHARED)
@@ -263,27 +238,40 @@ def validate_static_hint(
         )
 
 
-def _classify_exact(
-    program, line_size: int
-) -> tuple[LineClassification, np.ndarray]:
-    """The streaming exact pass; also returns the ever-written line set
-    (needed by hint validation, which must not bless an RO_SHARED hint
-    over a privately *written* line)."""
+def classify_program(program, line_size: int) -> LineClassification:
+    """Classify every line ``program`` touches by its sharing pattern.
+
+    Streams each trace chunk-by-chunk (``ThreadTrace.iter_chunks`` is a
+    single chunk for materialized traces, the decoded ``.rtb`` chunks
+    for streamed ones), keeping only per-thread *unique line* tables
+    (with access counts) in memory — O(working set), never O(events).
+    The access counts give the classification's ``reuse``.
+    """
     shift = np.uint64(line_size.bit_length() - 1)
     per_thread: list[np.ndarray] = []
+    per_thread_hits: list[np.ndarray] = []
     written_parts: list[np.ndarray] = []
     for trace in program.traces:
         touched = np.empty(0, dtype=np.uint64)
+        hits = np.empty(0, dtype=np.int64)
         written = np.empty(0, dtype=np.uint64)
         for events in trace.iter_chunks():
             kinds = events["kind"]
-            access = kinds <= WRITE
-            lines = (events["addr"][access] >> shift) << shift
-            touched = np.union1d(touched, lines)
+            lines = (events["addr"][kinds <= WRITE] >> shift) << shift
+            uniq, counts = np.unique(lines, return_counts=True)
+            if len(touched):
+                # fold this chunk's per-line access counts into the
+                # thread's running table
+                uniq, inverse = np.unique(
+                    np.concatenate([touched, uniq]), return_inverse=True
+                )
+                counts = np.bincount(inverse, np.concatenate([hits, counts]))
+            touched, hits = uniq, counts
             wlines = (events["addr"][kinds == WRITE] >> shift) << shift
             if len(wlines):
                 written = np.union1d(written, wlines)
         per_thread.append(touched.astype(np.uint64))
+        per_thread_hits.append(hits.astype(np.int64))
         if len(written):
             written_parts.append(written.astype(np.uint64))
 
@@ -293,14 +281,14 @@ def _classify_exact(
         else np.empty(0, dtype=np.uint64)
     )
     if not any(len(t) for t in per_thread):
-        return (
-            LineClassification(
-                np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-            ),
+        return LineClassification(
+            np.empty(0, dtype=np.uint64),
+            np.empty(0, dtype=np.int64),
             all_written,
         )
 
     cat = np.concatenate(per_thread)
+    hits = np.concatenate(per_thread_hits)
     tids = np.concatenate(
         [
             np.full(len(t), tid, dtype=np.int64)
@@ -318,17 +306,21 @@ def _classify_exact(
     starts = np.flatnonzero(new_group)
     counts = np.diff(np.append(starts, len(sorted_lines)))
     uniq = sorted_lines[starts]
-    ever_written = (
-        np.isin(uniq, all_written)
-        if len(all_written)
-        else np.zeros(len(uniq), dtype=bool)
-    )
+    ever_written = np.isin(uniq, all_written)
     codes = np.where(
         counts == 1,
         sorted_tids[starts],
         np.where(ever_written, np.int64(CONTENDED), np.int64(RO_SHARED)),
     ).astype(np.int64)
-    return LineClassification(uniq, codes), all_written
+    # reuse: a (thread, line) pair is fast-path eligible when the line
+    # is private to that thread or read-only shared (every access to
+    # such a line is then eligible); average the eligible pairs' access
+    # counts
+    pair_codes = np.repeat(codes, counts)
+    eligible = (pair_codes == sorted_tids) | (pair_codes == RO_SHARED)
+    pairs = int(np.count_nonzero(eligible))
+    reuse = float(hits[order][eligible].sum()) / pairs if pairs else 0.0
+    return LineClassification(uniq, codes, all_written, reuse)
 
 
 # --------------------------------------------------------------------------
@@ -359,17 +351,21 @@ class _Window:
 class BatchSimulator(Simulator):
     """Drop-in :class:`Simulator` with the vectorized fast path.
 
+    ``classification`` is the program's :func:`classify_program` result
+    when the caller already has it (:func:`make_simulator` does); None
+    computes it here.
+
     ``force_residue_lines`` demotes the given line base addresses to the
     residue tier regardless of classification — the divergence-debugging
     knob (see docs/ENGINE.md): demoting any fast-path line must be
     behavior-preserving, so bisecting over this set localizes a faulty
     bulk update to one line.
 
-    The fast path disables itself (falling back to pure scalar stepping)
-    when a recorder is attached (the oracle needs every access in
-    per-event order) or when the bounded sparse directory is configured
-    (directory recalls can invalidate private/read-only lines from
-    another core's transaction mid-run).
+    A schedule recorder (the oracle needs every access in per-event
+    order) and the bounded sparse directory (recalls can invalidate
+    private/read-only lines from another core's transaction mid-run)
+    are both outside the fast path's contract, so either raises
+    :class:`~repro.common.errors.ConfigError`; use :class:`Simulator`.
     """
 
     def __init__(
@@ -380,40 +376,33 @@ class BatchSimulator(Simulator):
         *,
         sanitize: bool | None = None,
         force_residue_lines=(),
-        static_hint: LineClassification | None = None,
+        classification: LineClassification | None = None,
     ):
-        super().__init__(cfg, program, recorder, sanitize=sanitize)
-        self._fast = (
-            recorder is None and cfg.directory_entries_per_bank is None
-        )
+        if recorder is not None:
+            raise ConfigError("the batch engine cannot record a schedule")
+        if cfg.directory_entries_per_bank is not None:
+            raise ConfigError(
+                "the batch engine does not model the bounded sparse directory"
+            )
+        super().__init__(cfg, program, sanitize=sanitize)
         n = program.num_threads
         self._windows: list[_Window | None] = [None] * n
         self._chunk_iters: list = [None] * n
         self._scalar_until = [0] * n
         self._bad_ptr = [0] * n
-        self._pops = [0] * n
-        self._adapt_cov = [0] * n
-        self._bailed = 0
         self._forced = np.unique(
             np.asarray(sorted(int(a) for a in force_residue_lines), dtype=np.uint64)
         )
         protocol = self.protocol
-        self._is_mesi_family = hasattr(protocol, "directory")
         self._is_ce_family = hasattr(protocol, "meta_table")
         self._is_arc = hasattr(protocol, "owner_table")
         self._line_shift = np.uint64(cfg.line_size.bit_length() - 1)
-        self._hit_cost = cfg.nonmem_cycles_per_event + cfg.l1.hit_latency
         self._sanitize_checks: list | None = None
         self.classification = (
-            classify_program(program, cfg.line_size, static_hint=static_hint)
-            if self._fast
-            else None
+            classification
+            if classification is not None
+            else classify_program(program, cfg.line_size)
         )
-        if not self._fast:
-            # run() resolves ``self._step`` per pop, so shadowing the
-            # override with the scalar bound method removes even the
-            # shim's dispatch overhead when the fast path is off
-            self._step = Simulator._step.__get__(self)
 
     # -- window management -------------------------------------------------
 
@@ -500,43 +489,15 @@ class BatchSimulator(Simulator):
     # -- the event loop ----------------------------------------------------
 
     def _step(self, core: int, clock: int) -> None:
-        if not self._fast:
-            super()._step(core, clock)
-            return
         idx = self.indices[core]
         if idx >= self._lengths[core]:
             self._finish(core, clock)
             return
-        # adaptive bail-out: on a core where pops overwhelmingly take
-        # the scalar tier (contended stretches, runtime misses,
-        # state-gate rejections), the fast-path machinery — including
-        # this shim — is pure overhead.  Per sampling period of heap
-        # pops, measure how many events bulk application actually
-        # covered; below ~2 per pop, hand the core to the scalar tier
-        # for good, and once every core has bailed shed the shim itself.
-        pops = self._pops[core] + 1
-        self._pops[core] = pops
-        if not pops & (_ADAPT_PERIOD - 1) and pops != _ADAPT_PERIOD:
-            # cumulative ratio, not a per-period window — one contended
-            # phase must not permanently demote a core whose long-run
-            # coverage is healthy — and never at the first sample, which
-            # the cold-miss warmup drags below break-even on dispatch-
-            # bound workloads too
-            if self._adapt_cov[core] < pops * 2:
-                self._scalar_until[core] = self._lengths[core]
-                self._bailed += 1
-                if self._bailed >= self.program.num_threads - self._num_finished:
-                    # run() resolves self._step per pop, so shadowing
-                    # the override drops even the shim dispatch cost
-                    self._step = Simulator._step.__get__(self)
-                super()._step(core, clock)
-                return
         if idx < self._scalar_until[core]:
             # inside a known-ineligible stretch: pure scalar, no numpy
             super()._step(core, clock)
             return
         self._attempt(core, clock, idx)
-        self._adapt_cov[core] += self.indices[core] - idx
 
     def _attempt(self, core: int, clock: int, idx: int) -> None:
         win = self._windows[core]

@@ -310,16 +310,3 @@ class Simulator:
             f"finished: {self._num_finished}/{self.program.num_threads}"
         )
 
-
-def run_program(
-    cfg: SystemConfig, program: Program, *, engine: str | None = None
-) -> RunResult:
-    """Convenience one-shot: simulate ``program`` on ``cfg``.
-
-    ``engine`` selects the tier (``"scalar"`` or ``"batch"``); ``None``
-    defers to ``$REPRO_ENGINE`` and then the batch default.  Both
-    engines are byte-identical, so the choice only affects wall-clock.
-    """
-    from .batch import make_simulator  # deferred: batch imports this module
-
-    return make_simulator(cfg, program, engine=engine).run()

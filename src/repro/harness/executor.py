@@ -187,8 +187,9 @@ def _simulate_point(point: SimPoint) -> tuple[RunResult, float]:
     start = time.perf_counter()
     program = point.build_program()
     validate_program(program, point.cfg.line_size)
-    # Engine choice rides on $REPRO_ENGINE (workers are forked, so they
-    # inherit it); results are engine-independent, so cache keys are too.
+    # make_simulator picks the tier (a forced $REPRO_ENGINE is inherited
+    # by forked workers); results are tier-independent, so cache keys are
+    # too.
     result = make_simulator(point.cfg, program).run()
     return result, time.perf_counter() - start
 

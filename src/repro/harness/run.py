@@ -35,7 +35,6 @@ import time
 from dataclasses import replace
 
 from ..common.errors import HarnessError
-from ..core.batch import ENGINE_ENV, ENGINES
 from .charts import chartable, render_bars
 from .checkpoint import CHECKPOINT_NAME, Checkpoint
 from .executor import Executor
@@ -232,19 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         help="like --analyze, but exit 3 on error-severity findings "
         "instead of running",
     )
-    parser.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="simulation engine: 'batch' (default) bulk-applies "
-        "uncontended L1 hit runs, 'scalar' dispatches every event "
-        "through the protocol model; both are byte-identical "
-        "(docs/ENGINE.md), so this only affects wall-clock",
-    )
     args = parser.parse_args(argv)
-
-    if args.engine:
-        # Same env-var pattern as --sanitize: forked harness workers
-        # rebuild their own simulators and inherit the choice.
-        os.environ[ENGINE_ENV] = args.engine
 
     if args.sanitize:
         # The env var (not a flag threaded through call sites) so that

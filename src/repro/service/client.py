@@ -201,8 +201,6 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
         "--protocols", default=None,
         help="comma-separated (compare default: mesi,moesi,ce,ce+,arc)",
     )
-    parser.add_argument("--engine", choices=("scalar", "batch"), default=None)
-    parser.add_argument("--sanitize", action="store_true")
     parser.add_argument("--priority", type=int, default=None, metavar="0-9")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="per-job wall-clock budget enforced by the worker")
@@ -224,8 +222,6 @@ def _spec_from_args(args: argparse.Namespace, kind: str, trace: str | None) -> J
         scale=args.scale,
         num_cores=args.num_cores,
         protocols=protocols,
-        engine=args.engine,
-        sanitize=args.sanitize,
         priority=args.priority,
         timeout=args.timeout,
         retries=args.retries,

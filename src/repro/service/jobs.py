@@ -20,14 +20,10 @@ simulator.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
-import threading
 
 from ..common.config import SystemConfig
 from ..common.errors import PointFailure, ServiceError
-from ..core.batch import ENGINE_ENV, resolve_engine
 from ..harness.executor import Executor, SimPoint, WorkloadSpec
 from ..trace.program import Program
 from .models import JobSpec, canonical_json, protocol_config
@@ -59,47 +55,6 @@ def render_payload(payload: dict) -> str:
     bytes the byte-for-byte equivalence contract is stated over.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-# -- result-neutral execution knobs -----------------------------------------
-
-#: serializes engine/sanitize env overrides across worker threads —
-#: the knobs are process-global, the jobs are not
-_knob_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _execution_knobs(engine: str | None, sanitize: bool):
-    """Apply a job's engine/sanitize choice for the duration of its run.
-
-    Both knobs ride environment variables (so forked executor workers
-    inherit them); both are proven result-neutral — the differential
-    suite for the engine, the stdout-identity contract for the
-    sanitizer — which is why they are excluded from result keys.  The
-    lock keeps concurrent worker threads from clobbering each other's
-    overrides.
-    """
-    if engine is None and not sanitize:
-        yield
-        return
-    resolve_engine(engine)  # validate before mutating the environment
-    with _knob_lock:
-        saved_engine = os.environ.get(ENGINE_ENV)
-        saved_sanitize = os.environ.get("REPRO_SANITIZE")
-        try:
-            if engine is not None:
-                os.environ[ENGINE_ENV] = engine
-            if sanitize:
-                os.environ["REPRO_SANITIZE"] = "1"
-            yield
-        finally:
-            for key, saved in (
-                (ENGINE_ENV, saved_engine), ("REPRO_SANITIZE", saved_sanitize)
-            ):
-                if saved is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = saved
 
 
 # -- workload resolution -----------------------------------------------------
@@ -180,13 +135,12 @@ def execute_job(
         "kind": spec.kind,
         "num_cores": cfg.num_cores,
     }
-    with _execution_knobs(spec.engine, spec.sanitize):
-        if spec.kind == "analyze":
-            payload["analyze"] = _run_analyze(cfg, workload)
-        else:
-            payload["results"] = _run_simulations(spec, cfg, workload, executor)
-            if spec.kind == "compare":
-                payload["normalized"] = _normalize(payload["results"])
+    if spec.kind == "analyze":
+        payload["analyze"] = _run_analyze(cfg, workload)
+    else:
+        payload["results"] = _run_simulations(spec, cfg, workload, executor)
+        if spec.kind == "compare":
+            payload["normalized"] = _normalize(payload["results"])
     return payload
 
 

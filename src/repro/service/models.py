@@ -9,11 +9,9 @@ reach the queue.
 Canonicalization matters here: a :class:`JobSpec`'s identity (and hence
 its queue dedupe key and its result-cache key) is the SHA-256 of its
 *canonical work dict* — the fields that determine the computed artifact,
-excluding scheduling knobs (priority, timeout, retries) and
-result-neutral execution knobs (engine, sanitize: the differential
-suite proves engine choice cannot perturb a byte, and the sanitizer is
-stdout-invariant by contract).  Resubmitting the same work therefore
-lands on the same job and the same cached result.
+excluding scheduling knobs (priority, timeout, retries).  Resubmitting
+the same work therefore lands on the same job and the same cached
+result.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ PROTOCOL_CHOICES = ("mesi", "moesi", "ce", "ce+", "ceplus", "arc")
 
 #: job kinds the service executes (see :mod:`repro.service.jobs`)
 JOB_KINDS = ("analyze", "simulate", "compare")
-
-_ENGINE_CHOICES = (None, "scalar", "batch")
 
 
 def canonical_json(payload: object) -> str:
@@ -107,8 +103,6 @@ class JobSpec:
     scale: float = 0.1
     num_cores: int | None = None
     protocols: tuple[str, ...] = ()
-    engine: str | None = None
-    sanitize: bool = False
     priority: int | None = None
     timeout: float | None = None
     retries: int = 0
@@ -147,10 +141,6 @@ class JobSpec:
             object.__setattr__(
                 self, "protocols", ("mesi", "moesi", "ce", "ce+", "arc")
             )
-        if self.engine not in _ENGINE_CHOICES:
-            raise ServiceError(
-                f"unknown engine {self.engine!r}: expected scalar or batch"
-            )
         if self.num_cores is not None and self.num_cores < 1:
             raise ServiceError(f"num_cores must be >= 1, got {self.num_cores}")
         if self.timeout is not None and self.timeout <= 0:
@@ -168,10 +158,9 @@ class JobSpec:
     def work_dict(self) -> dict:
         """The fields that determine the computed artifact.
 
-        Scheduling knobs (priority/timeout/retries) and result-neutral
-        execution knobs (engine/sanitize) are deliberately absent — two
-        specs differing only there are the *same work* and share one
-        queue entry and one cached result.
+        Scheduling knobs (priority/timeout/retries) are deliberately
+        absent — two specs differing only there are the *same work* and
+        share one queue entry and one cached result.
         """
         return {
             "kind": self.kind,

@@ -86,12 +86,22 @@ _COLUMNS = (
 )
 
 
+#: spec fields that rows stored by older versions still carry (the
+#: retired engine/sanitize knobs); dropped on decode so old queue
+#: databases stay readable, while HTTP submissions naming them are
+#: refused as unknown fields
+_RETIRED_SPEC_FIELDS = ("engine", "sanitize")
+
+
 def _record(row: sqlite3.Row | tuple) -> JobRecord:
     (job_id, spec, state, priority, cost, attempts, max_attempts, seq,
      created, updated, owner, deadline, result_key, error) = row
+    stored = json.loads(spec)
+    for key in _RETIRED_SPEC_FIELDS:
+        stored.pop(key, None)
     return JobRecord(
         id=job_id,
-        spec=JobSpec.from_dict(json.loads(spec)),
+        spec=JobSpec.from_dict(stored),
         state=JobState(state),
         priority=priority,
         cost=cost,

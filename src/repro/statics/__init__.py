@@ -6,9 +6,9 @@ exact mirrored addresses, per-thread access sites with tid-affine index
 slices, a lockset + barrier-phase coarsening of happens-before, and a
 NO/MAY/MUST-CONFLICT verdict for every cross-thread site pair.  The
 companion line classification is exportable as a
-:class:`~repro.core.batch.LineClassification` hint for the batch engine,
-which validates at runtime that the static answer over-approximates the
-exact one.
+:class:`~repro.core.batch.LineClassification` hint;
+:func:`~repro.core.batch.validate_static_hint` checks that the static
+answer over-approximates the exact one.
 
 Entry points: :func:`analyze_source` (a source string),
 :func:`analyze_file` (a ``.py`` path), :func:`analyze_workload` (a

@@ -631,7 +631,7 @@ class TestPartialRendering:
 
 class TestEngineChaos:
     def test_batch_engine_chaos_run_byte_identical_to_scalar(self, monkeypatch):
-        """A chaos plan (worker crashes + retries) with ``--engine batch``
+        """A chaos plan (worker crashes + retries) with the batch tier forced
         must settle on output byte-identical to a fault-free scalar run:
         the engine choice rides on $REPRO_ENGINE into the forked workers,
         and neither the fault injection nor the resubmission path may

@@ -181,6 +181,16 @@ class TestJobs:
             )
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("field", ["engine", "sanitize"])
+    def test_retired_knob_field_is_400(self, client, field):
+        with pytest.raises(ServiceHTTPError) as err:
+            client._post_json(
+                "/api/jobs",
+                {"kind": "analyze", "workload": WORKLOAD, field: None},
+            )
+        assert err.value.status == 400
+        assert "unknown job spec field" in str(err.value)
+
     def test_unknown_workload_fails_the_job_not_the_submit(self, client):
         spec = JobSpec(kind="analyze", workload="no-such-workload")
         record, _ = client.submit(spec)

@@ -87,11 +87,6 @@ class TestSubmission:
         second, deduped = queue.submit(spec(priority=9))
         assert deduped and second.id == first.id
 
-    def test_engine_and_sanitize_are_result_neutral_identity(self, queue):
-        first, _ = queue.submit(spec(engine="batch", sanitize=True))
-        second, deduped = queue.submit(spec())
-        assert deduped and second.id == first.id
-
     def test_distinct_work_distinct_jobs(self, queue):
         a, _ = queue.submit(spec(seed=1))
         b, _ = queue.submit(spec(seed=2))
@@ -273,6 +268,36 @@ class TestPersistence:
         with JobQueue(path, lease_seconds=10.0, clock=clock) as q:
             reclaimed = q.claim("w2")
             assert reclaimed.id == record.id
+
+    def test_rows_with_retired_knob_fields_stay_readable(self, tmp_path, clock):
+        """Rows stored by versions whose specs still had ``engine`` and
+        ``sanitize`` fields must open, list, claim and drain."""
+        import json
+        import sqlite3
+
+        path = tmp_path / "q.sqlite"
+        with JobQueue(path, clock=clock) as q:
+            ids = [q.submit(spec(seed=s))[0].id for s in (1, 2)]
+        conn = sqlite3.connect(path)
+        for (job_id, stored), knobs in zip(
+            conn.execute("SELECT id, spec FROM jobs ORDER BY seq").fetchall(),
+            ({"engine": None, "sanitize": False},
+             {"engine": "batch", "sanitize": True}),
+        ):
+            old = {**json.loads(stored), **knobs}
+            conn.execute(
+                "UPDATE jobs SET spec = ? WHERE id = ?",
+                (json.dumps(old, sort_keys=True), job_id),
+            )
+        conn.commit()
+        conn.close()
+        with JobQueue(path, clock=clock) as q:
+            assert sorted(r.id for r in q.list_jobs()) == sorted(ids)
+            while (claimed := q.claim("w1")) is not None:
+                assert claimed.spec == spec(seed=claimed.spec.seed)
+                assert q.complete(claimed.id, "w1", "rkey")
+            assert q.stats().pending == 0
+            assert all(q.get(i).state is JobState.DONE for i in ids)
 
     def test_schema_mismatch_refuses_to_open(self, tmp_path):
         path = tmp_path / "q.sqlite"

@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError, TraceError
-from repro.core.simulator import SYNC_OP_CYCLES, Simulator, run_program
+from repro.core.api import run_program
+from repro.core.simulator import SYNC_OP_CYCLES, Simulator
 from repro.trace import Program, TraceBuilder
 
 
